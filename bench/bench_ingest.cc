@@ -5,8 +5,8 @@
 //   1. Ingest stage alone — dense text parse vs binary validate+alias
 //      (records/s). This is the cost the zero-parse format deletes.
 //   2. End-to-end batch scoring — ExecutePlanBatch over all-text vs
-//      all-binary pools (records/s), where binary records also skip the AoS
-//      staging copy (payloads gather straight into the SoA transpose).
+//      all-binary pools (records/s), where aligned binary payloads also skip
+//      the parse buffer (the kernels read the wire bytes in place).
 //   3. SA end-to-end — per-record text featurize+score vs pre-featurized
 //      sparse record validate+score.
 //
@@ -162,7 +162,7 @@ int main(int argc, char** argv) {
   json.Add("ac_e2e_binary_rps", ac_binary_rps);
   json.Add("ac_e2e_speedup", ac_e2e_speedup);
   ok &= ShapeCheck(ac_e2e_speedup >= 1.0,
-                   "zero-copy batch gather does not regress dense scoring");
+                   "zero-copy binary records do not regress dense batch scoring");
 
   // -------------------------------------------------------------------
   // 3. SA end-to-end: featurize+score vs pre-featurized sparse records.

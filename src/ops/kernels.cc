@@ -143,76 +143,6 @@ void KMeansTransformScalar(const float* centroids, size_t k, size_t dim,
   }
 }
 
-void MatVecBatchSoAScalar(const float* matrix, size_t out_dim, size_t in_dim,
-                          const float* in_soa, size_t batch, float* out_soa) {
-  // Register-tiled: each pass holds an 8-lane accumulator tile for one
-  // output row across 8 records and streams the whole input dimension
-  // through it — the long loop is innermost, the tile never leaves
-  // registers, one matrix-row read serves 8 records, and there is no
-  // horizontal reduction (the cost per-record dot products always pay).
-  constexpr size_t kLanes = 8;
-  for (size_t r = 0; r < out_dim; ++r) {
-    const float* row = matrix + r * in_dim;
-    float* out = out_soa + r * batch;
-    size_t b = 0;
-    for (; b + kLanes <= batch; b += kLanes) {
-      float acc[kLanes] = {0.0f};
-      const float* col = in_soa + b;
-      for (size_t c = 0; c < in_dim; ++c, col += batch) {
-        const float m = row[c];
-        for (size_t l = 0; l < kLanes; ++l) {
-          acc[l] += m * col[l];
-        }
-      }
-      for (size_t l = 0; l < kLanes; ++l) {
-        out[b + l] = acc[l];
-      }
-    }
-    for (; b < batch; ++b) {
-      float acc = 0.0f;
-      const float* col = in_soa + b;
-      for (size_t c = 0; c < in_dim; ++c, col += batch) {
-        acc += row[c] * col[0];
-      }
-      out[b] = acc;
-    }
-  }
-}
-
-void KMeansTransformBatchSoAScalar(const float* centroids, size_t k,
-                                   size_t dim, const float* in_soa,
-                                   size_t batch, float* out_soa) {
-  constexpr size_t kLanes = 8;
-  for (size_t i = 0; i < k; ++i) {
-    const float* cent = centroids + i * dim;
-    float* out = out_soa + i * batch;
-    size_t b = 0;
-    for (; b + kLanes <= batch; b += kLanes) {
-      float acc[kLanes] = {0.0f};
-      const float* col = in_soa + b;
-      for (size_t c = 0; c < dim; ++c, col += batch) {
-        const float cc = cent[c];
-        for (size_t l = 0; l < kLanes; ++l) {
-          const float d = col[l] - cc;
-          acc[l] += d * d;
-        }
-      }
-      for (size_t l = 0; l < kLanes; ++l) {
-        out[b + l] = -acc[l];
-      }
-    }
-    for (; b < batch; ++b) {
-      float acc = 0.0f;
-      const float* col = in_soa + b;
-      for (size_t c = 0; c < dim; ++c, col += batch) {
-        const float d = col[0] - cent[c];
-        acc += d * d;
-      }
-      out[b] = -acc;
-    }
-  }
-}
-
 }  // namespace internal
 
 namespace {
@@ -282,65 +212,6 @@ void KMeansTransform(const float* centroids, size_t k, size_t dim,
   }
 #endif
   internal::KMeansTransformScalar(centroids, k, dim, in, out);
-}
-
-void MatVecBatchSoA(const float* matrix, size_t out_dim, size_t in_dim,
-                    const float* in_soa, size_t batch, float* out_soa) {
-#ifdef PRETZEL_HAVE_AVX2
-  if (UseAvx2()) {
-    internal::MatVecBatchSoAAvx2(matrix, out_dim, in_dim, in_soa, batch,
-                                 out_soa);
-    return;
-  }
-#endif
-  internal::MatVecBatchSoAScalar(matrix, out_dim, in_dim, in_soa, batch,
-                                 out_soa);
-}
-
-void KMeansTransformBatchSoA(const float* centroids, size_t k, size_t dim,
-                             const float* in_soa, size_t batch,
-                             float* out_soa) {
-#ifdef PRETZEL_HAVE_AVX2
-  if (UseAvx2()) {
-    internal::KMeansTransformBatchSoAAvx2(centroids, k, dim, in_soa, batch,
-                                          out_soa);
-    return;
-  }
-#endif
-  internal::KMeansTransformBatchSoAScalar(centroids, k, dim, in_soa, batch,
-                                          out_soa);
-}
-
-void TransposeToSoA(const float* rows, size_t batch, size_t row_stride,
-                    size_t in_dim, float* soa) {
-#ifdef PRETZEL_HAVE_AVX2
-  if (UseAvx2()) {
-    internal::TransposeToSoAAvx2(rows, batch, row_stride, in_dim, soa);
-    return;
-  }
-#endif
-  for (size_t b = 0; b < batch; ++b) {
-    const float* row = rows + b * row_stride;
-    for (size_t c = 0; c < in_dim; ++c) {
-      soa[c * batch + b] = row[c];
-    }
-  }
-}
-
-void TransposeRowsToSoA(const float* const* rows, size_t batch, size_t in_dim,
-                        float* soa) {
-#ifdef PRETZEL_HAVE_AVX2
-  if (UseAvx2()) {
-    internal::TransposeRowsToSoAAvx2(rows, batch, in_dim, soa);
-    return;
-  }
-#endif
-  for (size_t b = 0; b < batch; ++b) {
-    const float* row = rows[b];
-    for (size_t c = 0; c < in_dim; ++c) {
-      soa[c * batch + b] = row[c];
-    }
-  }
 }
 
 double SparseDot(const uint32_t* ids, const float* vals, size_t nnz,

@@ -229,27 +229,6 @@ void MatVec(const float* matrix, size_t out_dim, size_t in_dim, const float* in,
 void KMeansTransform(const float* centroids, size_t k, size_t dim,
                      const float* in, float* out);
 
-// Batch-major (structure-of-arrays) variants: `in_soa` holds `in_dim` rows
-// of `batch` contiguous lanes (in_soa[c * batch + b] = record b, dim c), so
-// the inner loop runs across the batch with no reduction — one blocked
-// matrix-matrix kernel replaces `batch` matvecs. Outputs use the same
-// layout (out_soa[r * batch + b]).
-void MatVecBatchSoA(const float* matrix, size_t out_dim, size_t in_dim,
-                    const float* in_soa, size_t batch, float* out_soa);
-void KMeansTransformBatchSoA(const float* centroids, size_t k, size_t dim,
-                             const float* in_soa, size_t batch, float* out_soa);
-
-// rows[b * row_stride + c] -> soa[c * batch + b] for c < in_dim.
-void TransposeToSoA(const float* rows, size_t batch, size_t row_stride,
-                    size_t in_dim, float* soa);
-
-// Gather variant for rows that are not contiguous: rows[b][c] ->
-// soa[c * batch + b]. This is how binary wire records (each row aliasing
-// its record's payload in place) enter the SoA spine with no AoS staging
-// copy, and how a masked batch transposes only its valid rows.
-void TransposeRowsToSoA(const float* const* rows, size_t batch, size_t in_dim,
-                        float* soa);
-
 // Sparse dot product against a dense weight array; ids at or beyond w_dim
 // contribute nothing. Double accumulation (matches the Linear stages).
 // Dispatched: AVX2 builds use a masked-gather kernel on supporting CPUs.
@@ -264,11 +243,6 @@ void MatVecScalar(const float* matrix, size_t out_dim, size_t in_dim,
                   const float* in, float* out);
 void KMeansTransformScalar(const float* centroids, size_t k, size_t dim,
                            const float* in, float* out);
-void MatVecBatchSoAScalar(const float* matrix, size_t out_dim, size_t in_dim,
-                          const float* in_soa, size_t batch, float* out_soa);
-void KMeansTransformBatchSoAScalar(const float* centroids, size_t k,
-                                   size_t dim, const float* in_soa,
-                                   size_t batch, float* out_soa);
 double SparseDotScalar(const uint32_t* ids, const float* vals, size_t nnz,
                        const float* weights, size_t w_dim);
 #ifdef PRETZEL_HAVE_AVX2
@@ -279,15 +253,6 @@ void MatVecAvx2(const float* matrix, size_t out_dim, size_t in_dim,
                 const float* in, float* out);
 void KMeansTransformAvx2(const float* centroids, size_t k, size_t dim,
                          const float* in, float* out);
-void MatVecBatchSoAAvx2(const float* matrix, size_t out_dim, size_t in_dim,
-                        const float* in_soa, size_t batch, float* out_soa);
-void KMeansTransformBatchSoAAvx2(const float* centroids, size_t k, size_t dim,
-                                 const float* in_soa, size_t batch,
-                                 float* out_soa);
-void TransposeToSoAAvx2(const float* rows, size_t batch, size_t row_stride,
-                        size_t in_dim, float* soa);
-void TransposeRowsToSoAAvx2(const float* const* rows, size_t batch,
-                            size_t in_dim, float* soa);
 double SparseDotAvx2(const uint32_t* ids, const float* vals, size_t nnz,
                      const float* weights, size_t w_dim);
 #endif  // PRETZEL_HAVE_AVX2

@@ -71,221 +71,6 @@ void KMeansTransformAvx2(const float* centroids, size_t k, size_t dim,
   }
 }
 
-void MatVecBatchSoAAvx2(const float* matrix, size_t out_dim, size_t in_dim,
-                        const float* in_soa, size_t batch, float* out_soa) {
-  // 4-row x 8-lane register tile: one column load feeds four independent
-  // FMA chains (amortizes the load and breaks the FMA latency chain a
-  // single-accumulator tile would serialize on).
-  size_t r = 0;
-  for (; r + 4 <= out_dim; r += 4) {
-    const float* row0 = matrix + r * in_dim;
-    const float* row1 = row0 + in_dim;
-    const float* row2 = row1 + in_dim;
-    const float* row3 = row2 + in_dim;
-    size_t b = 0;
-    for (; b + 8 <= batch; b += 8) {
-      __m256 acc0 = _mm256_setzero_ps();
-      __m256 acc1 = _mm256_setzero_ps();
-      __m256 acc2 = _mm256_setzero_ps();
-      __m256 acc3 = _mm256_setzero_ps();
-      const float* col = in_soa + b;
-      for (size_t c = 0; c < in_dim; ++c, col += batch) {
-        const __m256 v = _mm256_loadu_ps(col);
-        acc0 = _mm256_fmadd_ps(_mm256_set1_ps(row0[c]), v, acc0);
-        acc1 = _mm256_fmadd_ps(_mm256_set1_ps(row1[c]), v, acc1);
-        acc2 = _mm256_fmadd_ps(_mm256_set1_ps(row2[c]), v, acc2);
-        acc3 = _mm256_fmadd_ps(_mm256_set1_ps(row3[c]), v, acc3);
-      }
-      _mm256_storeu_ps(out_soa + r * batch + b, acc0);
-      _mm256_storeu_ps(out_soa + (r + 1) * batch + b, acc1);
-      _mm256_storeu_ps(out_soa + (r + 2) * batch + b, acc2);
-      _mm256_storeu_ps(out_soa + (r + 3) * batch + b, acc3);
-    }
-    for (; b < batch; ++b) {
-      for (size_t rr = r; rr < r + 4; ++rr) {
-        float acc = 0.0f;
-        const float* rw = matrix + rr * in_dim;
-        for (size_t c = 0; c < in_dim; ++c) {
-          acc += rw[c] * in_soa[c * batch + b];
-        }
-        out_soa[rr * batch + b] = acc;
-      }
-    }
-  }
-  for (; r < out_dim; ++r) {
-    const float* row = matrix + r * in_dim;
-    float* out = out_soa + r * batch;
-    size_t b = 0;
-    for (; b + 8 <= batch; b += 8) {
-      __m256 acc = _mm256_setzero_ps();
-      const float* col = in_soa + b;
-      for (size_t c = 0; c < in_dim; ++c, col += batch) {
-        acc = _mm256_fmadd_ps(_mm256_set1_ps(row[c]), _mm256_loadu_ps(col), acc);
-      }
-      _mm256_storeu_ps(out + b, acc);
-    }
-    for (; b < batch; ++b) {
-      float acc = 0.0f;
-      for (size_t c = 0; c < in_dim; ++c) {
-        acc += row[c] * in_soa[c * batch + b];
-      }
-      out[b] = acc;
-    }
-  }
-}
-
-void KMeansTransformBatchSoAAvx2(const float* centroids, size_t k, size_t dim,
-                                 const float* in_soa, size_t batch,
-                                 float* out_soa) {
-  const __m256 neg = _mm256_set1_ps(-0.0f);
-  size_t i = 0;
-  for (; i + 2 <= k; i += 2) {
-    // 2-centroid x 8-lane tile: the column load is shared and the two FMA
-    // chains stay independent.
-    const float* cent0 = centroids + i * dim;
-    const float* cent1 = cent0 + dim;
-    size_t b = 0;
-    for (; b + 8 <= batch; b += 8) {
-      __m256 acc0 = _mm256_setzero_ps();
-      __m256 acc1 = _mm256_setzero_ps();
-      const float* col = in_soa + b;
-      for (size_t c = 0; c < dim; ++c, col += batch) {
-        const __m256 v = _mm256_loadu_ps(col);
-        const __m256 d0 = _mm256_sub_ps(v, _mm256_set1_ps(cent0[c]));
-        const __m256 d1 = _mm256_sub_ps(v, _mm256_set1_ps(cent1[c]));
-        acc0 = _mm256_fmadd_ps(d0, d0, acc0);
-        acc1 = _mm256_fmadd_ps(d1, d1, acc1);
-      }
-      _mm256_storeu_ps(out_soa + i * batch + b, _mm256_xor_ps(acc0, neg));
-      _mm256_storeu_ps(out_soa + (i + 1) * batch + b, _mm256_xor_ps(acc1, neg));
-    }
-    for (; b < batch; ++b) {
-      for (size_t ii = i; ii < i + 2; ++ii) {
-        float acc = 0.0f;
-        const float* cc = centroids + ii * dim;
-        for (size_t c = 0; c < dim; ++c) {
-          const float d = in_soa[c * batch + b] - cc[c];
-          acc += d * d;
-        }
-        out_soa[ii * batch + b] = -acc;
-      }
-    }
-  }
-  for (; i < k; ++i) {
-    const float* cent = centroids + i * dim;
-    float* out = out_soa + i * batch;
-    size_t b = 0;
-    for (; b + 8 <= batch; b += 8) {
-      __m256 acc = _mm256_setzero_ps();
-      const float* col = in_soa + b;
-      for (size_t c = 0; c < dim; ++c, col += batch) {
-        const __m256 d = _mm256_sub_ps(_mm256_loadu_ps(col),
-                                       _mm256_set1_ps(cent[c]));
-        acc = _mm256_fmadd_ps(d, d, acc);
-      }
-      _mm256_storeu_ps(out + b, _mm256_xor_ps(acc, neg));
-    }
-    for (; b < batch; ++b) {
-      float acc = 0.0f;
-      for (size_t c = 0; c < dim; ++c) {
-        const float d = in_soa[c * batch + b] - cent[c];
-        acc += d * d;
-      }
-      out[b] = -acc;
-    }
-  }
-}
-
-namespace {
-
-// Standard 8x8 in-register transpose (unpack -> shuffle -> lane permute).
-inline void Transpose8x8(__m256 r[8]) {
-  const __m256 t0 = _mm256_unpacklo_ps(r[0], r[1]);
-  const __m256 t1 = _mm256_unpackhi_ps(r[0], r[1]);
-  const __m256 t2 = _mm256_unpacklo_ps(r[2], r[3]);
-  const __m256 t3 = _mm256_unpackhi_ps(r[2], r[3]);
-  const __m256 t4 = _mm256_unpacklo_ps(r[4], r[5]);
-  const __m256 t5 = _mm256_unpackhi_ps(r[4], r[5]);
-  const __m256 t6 = _mm256_unpacklo_ps(r[6], r[7]);
-  const __m256 t7 = _mm256_unpackhi_ps(r[6], r[7]);
-  const __m256 s0 = _mm256_shuffle_ps(t0, t2, 0x44);
-  const __m256 s1 = _mm256_shuffle_ps(t0, t2, 0xEE);
-  const __m256 s2 = _mm256_shuffle_ps(t1, t3, 0x44);
-  const __m256 s3 = _mm256_shuffle_ps(t1, t3, 0xEE);
-  const __m256 s4 = _mm256_shuffle_ps(t4, t6, 0x44);
-  const __m256 s5 = _mm256_shuffle_ps(t4, t6, 0xEE);
-  const __m256 s6 = _mm256_shuffle_ps(t5, t7, 0x44);
-  const __m256 s7 = _mm256_shuffle_ps(t5, t7, 0xEE);
-  r[0] = _mm256_permute2f128_ps(s0, s4, 0x20);
-  r[1] = _mm256_permute2f128_ps(s1, s5, 0x20);
-  r[2] = _mm256_permute2f128_ps(s2, s6, 0x20);
-  r[3] = _mm256_permute2f128_ps(s3, s7, 0x20);
-  r[4] = _mm256_permute2f128_ps(s0, s4, 0x31);
-  r[5] = _mm256_permute2f128_ps(s1, s5, 0x31);
-  r[6] = _mm256_permute2f128_ps(s2, s6, 0x31);
-  r[7] = _mm256_permute2f128_ps(s3, s7, 0x31);
-}
-
-}  // namespace
-
-void TransposeToSoAAvx2(const float* rows, size_t batch, size_t row_stride,
-                        size_t in_dim, float* soa) {
-  size_t b = 0;
-  for (; b + 8 <= batch; b += 8) {
-    size_t c = 0;
-    for (; c + 8 <= in_dim; c += 8) {
-      __m256 r[8];
-      for (int i = 0; i < 8; ++i) {
-        r[i] = _mm256_loadu_ps(rows + (b + i) * row_stride + c);
-      }
-      Transpose8x8(r);
-      for (int i = 0; i < 8; ++i) {
-        _mm256_storeu_ps(soa + (c + i) * batch + b, r[i]);
-      }
-    }
-    for (; c < in_dim; ++c) {
-      for (size_t i = 0; i < 8; ++i) {
-        soa[c * batch + b + i] = rows[(b + i) * row_stride + c];
-      }
-    }
-  }
-  for (; b < batch; ++b) {
-    const float* row = rows + b * row_stride;
-    for (size_t c = 0; c < in_dim; ++c) {
-      soa[c * batch + b] = row[c];
-    }
-  }
-}
-
-void TransposeRowsToSoAAvx2(const float* const* rows, size_t batch,
-                            size_t in_dim, float* soa) {
-  size_t b = 0;
-  for (; b + 8 <= batch; b += 8) {
-    size_t c = 0;
-    for (; c + 8 <= in_dim; c += 8) {
-      __m256 r[8];
-      for (int i = 0; i < 8; ++i) {
-        r[i] = _mm256_loadu_ps(rows[b + i] + c);
-      }
-      Transpose8x8(r);
-      for (int i = 0; i < 8; ++i) {
-        _mm256_storeu_ps(soa + (c + i) * batch + b, r[i]);
-      }
-    }
-    for (; c < in_dim; ++c) {
-      for (size_t i = 0; i < 8; ++i) {
-        soa[c * batch + b + i] = rows[b + i][c];
-      }
-    }
-  }
-  for (; b < batch; ++b) {
-    const float* row = rows[b];
-    for (size_t c = 0; c < in_dim; ++c) {
-      soa[c * batch + b] = row[c];
-    }
-  }
-}
-
 // Masked-gather sparse dot. Per 8-id group: an unsigned id < w_dim compare
 // builds the gather mask (out-of-range ids contribute nothing AND touch no
 // memory — masked-off gather lanes are architecturally suppressed, so a

@@ -98,11 +98,6 @@ struct RuntimeOptions {
   // correctness and admission semantics are unchanged, only that tail
   // leaves the single-CAS fast path. Lock-free mode only.
   size_t event_ring_capacity = 256;
-  // Batch-major execution of dense-family batch chunks: a chunk's records
-  // are transposed to structure-of-arrays and the PCA/KMeans stages run as
-  // one blocked matrix-matrix kernel instead of per-record matvecs. False
-  // restores the per-record loop (the before/after bench baseline).
-  bool batch_major = true;
   // Deadline-aware admission: when a request carries a deadline and the
   // plan's queue-delay EWMA already exceeds the remaining budget, shed at
   // admission with ResourceExhausted (plus retry-after hint) instead of
@@ -139,9 +134,8 @@ struct PlanMetrics {
   uint64_t rejected_events = 0;     // Backpressure drops.
   uint64_t dispatches = 0;          // Executor pulls (quanta).
   uint64_t coalesced_singles = 0;   // Singles dispatched via coalescing.
-  // Coalesced singles that executed batch-major (dense-family groups routed
-  // through ExecutePlanBatch instead of the per-event loop) — the scheduler
-  // coalescing composing with the SoA batch kernels.
+  // Always 0: coalesced singles run the per-event ExecutePlan loop. Kept
+  // because perfbench reports it as runtime.batched_share.
   uint64_t batched_singles = 0;
   uint64_t errors = 0;              // Failed records/singles.
   // Deadline accounting (requests that carried one). Work is dropped the
@@ -248,8 +242,8 @@ class Runtime {
   // Zero-copy binary batch: `records` is a back-to-back concatenation of
   // BinaryRecords (the wire batch framing — SplitBinaryBatch). The buffer
   // is split into borrowed per-record views and ridden through the
-  // borrowed-span batch path: executors gather aligned payloads straight
-  // into the SoA transpose and write scores through `out`
+  // borrowed-span batch path: executors score aligned payloads in place
+  // and write scores through `out`
   // (out.size() >= record count). Blocks until completion.
   Status PredictBinary(PlanId id, std::span<const uint8_t> records,
                        size_t max_batch, std::span<float> out,

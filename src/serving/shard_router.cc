@@ -21,6 +21,13 @@ double LoadEwma(const std::atomic<uint64_t>& bits) {
   return std::bit_cast<double>(bits.load(std::memory_order_relaxed));
 }
 
+// The canary latency verdict compares mean latencies over windows of this
+// many canary completions, and fires after this many slow windows in a row.
+// A stalled request or a burst of queued completions lands in one window;
+// only a canary that stays slow across windows is rolled back.
+constexpr uint64_t kLatencyWindow = 32;
+constexpr uint32_t kSlowWindowsToKill = 3;
+
 void UpdateEwma(std::atomic<uint64_t>& bits, double sample) {
   uint64_t current = bits.load(std::memory_order_relaxed);
   const double prev = std::bit_cast<double>(current);
@@ -350,6 +357,13 @@ Result<uint64_t> ShardRouter::Deploy(const PipelineSpec& spec) {
   {
     WriterMutexLock lock(mu_);
     PlanState& st = plans_.at(spec.name);
+    // The canary's first latency window opens now, for both versions.
+    rollout->stats->mark_stable_sum.store(
+        st.vstats->latency_ns_sum.load(std::memory_order_relaxed),
+        std::memory_order_relaxed);
+    rollout->stats->mark_stable_n.store(
+        st.vstats->latency_n.load(std::memory_order_relaxed),
+        std::memory_order_relaxed);
     st.next_version = version + 1;
     st.rollout = std::move(rollout);
     PublishLocked();
@@ -483,6 +497,36 @@ void ShardRouter::ReclaimVersion(VersionGate* gate,
   }
 }
 
+void ShardRouter::CloseLatencyWindow(VersionStats* canary,
+                                     const VersionStats& stable,
+                                     double latency_x) {
+  // The stable version's mean is taken over the same wall-clock interval as
+  // the canary's window (both marks move together), so load that hits both
+  // versions moves both means. Racing window closes can misattribute a few
+  // samples between adjacent windows; the verdict is an estimate.
+  const uint64_t sum = canary->latency_ns_sum.load(std::memory_order_relaxed);
+  const uint64_t stable_sum =
+      stable.latency_ns_sum.load(std::memory_order_relaxed);
+  const uint64_t stable_n = stable.latency_n.load(std::memory_order_relaxed);
+  const double window_mean =
+      static_cast<double>(
+          sum - canary->mark_sum.exchange(sum, std::memory_order_relaxed)) /
+      kLatencyWindow;
+  const uint64_t stable_window_sum =
+      stable_sum -
+      canary->mark_stable_sum.exchange(stable_sum, std::memory_order_relaxed);
+  const uint64_t stable_window_n =
+      stable_n -
+      canary->mark_stable_n.exchange(stable_n, std::memory_order_relaxed);
+  if (stable_window_n > 0 &&
+      window_mean > latency_x * static_cast<double>(stable_window_sum) /
+                        static_cast<double>(stable_window_n)) {
+    canary->slow_windows.fetch_add(1, std::memory_order_relaxed);
+  } else {
+    canary->slow_windows.store(0, std::memory_order_relaxed);
+  }
+}
+
 bool ShardRouter::FinishVersion(const RouteDecision& decision,
                                 const Status& status, int64_t start_ns) {
   bool want_rollback = false;
@@ -499,9 +543,21 @@ bool ShardRouter::FinishVersion(const RouteDecision& decision,
       decision.stats->faults.fetch_add(1, std::memory_order_relaxed);
     }
     if (status.ok() || fault) {
+      const int64_t latency_ns = NowNs() - start_ns;
       UpdateEwma(decision.stats->failure_ewma_bits, fault ? 1.0 : 0.0);
       UpdateEwma(decision.stats->latency_ewma_bits,
-                 static_cast<double>(NowNs() - start_ns) / 1000.0);
+                 static_cast<double>(latency_ns) / 1000.0);
+      decision.stats->latency_ns_sum.fetch_add(
+          static_cast<uint64_t>(std::max<int64_t>(latency_ns, 0)),
+          std::memory_order_relaxed);
+      const uint64_t timed =
+          decision.stats->latency_n.fetch_add(1, std::memory_order_relaxed) +
+          1;
+      if (decision.canary && decision.baseline != nullptr &&
+          timed % kLatencyWindow == 0) {
+        CloseLatencyWindow(decision.stats, *decision.baseline,
+                           options_.rollout.rollback_latency_x);
+      }
     }
     if (decision.canary && options_.rollout.auto_rollback &&
         decision.split != nullptr && decision.baseline != nullptr) {
@@ -512,17 +568,16 @@ bool ShardRouter::FinishVersion(const RouteDecision& decision,
       // a request or two.
       const uint64_t seen =
           decision.stats->routed.load(std::memory_order_relaxed);
-      if (seen >= ro.min_canary_requests) {
-        const double fail = LoadEwma(decision.stats->failure_ewma_bits);
-        const double canary_lat = LoadEwma(decision.stats->latency_ewma_bits);
-        const double stable_lat = LoadEwma(decision.baseline->latency_ewma_bits);
-        if (fail >= ro.rollback_failure_ewma ||
-            (stable_lat > 0.0 && canary_lat > stable_lat * ro.rollback_latency_x)) {
-          // Kill switch first — lock-free, stops canary traffic NOW; the
-          // heavyweight teardown follows outside the gate.
-          decision.split->Publish(0, decision.version);
-          want_rollback = true;
-        }
+      const uint32_t slow_windows =
+          decision.stats->slow_windows.load(std::memory_order_relaxed);
+      if (seen >= ro.min_canary_requests &&
+          (LoadEwma(decision.stats->failure_ewma_bits) >=
+               ro.rollback_failure_ewma ||
+           slow_windows >= kSlowWindowsToKill)) {
+        // Kill switch first — lock-free, stops canary traffic NOW; the
+        // heavyweight teardown follows outside the gate.
+        decision.split->Publish(0, decision.version);
+        want_rollback = true;
       }
     }
   }

@@ -120,8 +120,11 @@ struct RolloutOptions {
   uint64_t min_canary_requests = 64;
   // Canary failure EWMA at or above this triggers auto-rollback.
   double rollback_failure_ewma = 0.5;
-  // Canary latency EWMA above this multiple of the stable version's
-  // triggers auto-rollback (inert until the stable EWMA is nonzero).
+  // A canary whose mean latency stays above this multiple of the stable
+  // version's, measured over the same interval, triggers auto-rollback.
+  // Means are compared per window of canary completions and must exceed
+  // the bound in several consecutive windows, so one stalled request or
+  // one burst of queued completions cannot kill a healthy canary.
   double rollback_latency_x = 8.0;
   // false disables the controller: rollouts end only by explicit
   // Promote()/Rollback() calls.
@@ -403,6 +406,15 @@ class ShardRouter {
     // EWMAs, alpha = 1/16, stored as double bits advanced by CAS.
     std::atomic<uint64_t> failure_ewma_bits{0};
     std::atomic<uint64_t> latency_ewma_bits{0};
+    // Cumulative latency of completed requests, for windowed means.
+    std::atomic<uint64_t> latency_ns_sum{0};
+    std::atomic<uint64_t> latency_n{0};
+    // Canary only: both versions' cumulative sums where the current
+    // latency window opened, and the run of consecutive slow windows.
+    std::atomic<uint64_t> mark_sum{0};
+    std::atomic<uint64_t> mark_stable_sum{0};
+    std::atomic<uint64_t> mark_stable_n{0};
+    std::atomic<uint32_t> slow_windows{0};
   };
 
   // One materialized registration of a plan on a shard. Control-plane
@@ -503,6 +515,12 @@ class ShardRouter {
   // leave completion to a sync caller or the next maintenance scan.
   bool FinishVersion(const RouteDecision& decision, const Status& status,
                      int64_t start_ns);
+  // Closes a canary latency window: the canary's mean latency over it vs
+  // the stable version's over the same interval; advances or resets the
+  // canary's slow-window streak.
+  static void CloseLatencyWindow(VersionStats* canary,
+                                 const VersionStats& stable,
+                                 double latency_x);
   // Completes a kill-switched rollback if the control plane is free; a held
   // control_mu_ means another lifecycle op is already running and the
   // backstop in MaintainReplication will finish the job.

@@ -1,10 +1,14 @@
 // Golden-parity suite for the operator data path: every execution variant —
 // scalar-forced, dispatched (SIMD when built+supported), sparse-fused,
-// unfused dense, and batch-major — must score within 1e-5 of the scalar
+// unfused dense, and batched — must score within 1e-5 of the scalar
 // black-box reference for every SA/AC workload plan. This is the contract
 // that lets the Oven and Runtime pick representations and kernels freely.
+// On top of that, a batch must score bit-identically to ExecutePlan on the
+// same backend: a tree split sitting on a float tie turns any difference
+// in reduction order into a different leaf, far outside 1e-5.
 #include <cstdio>
 #include <cstdint>
+#include <cstring>
 #include <functional>
 #include <string>
 #include <vector>
@@ -94,8 +98,8 @@ void CheckFamily(const Workload& workload, uint64_t seed, bool is_dense,
           CHECK_NEAR(*got, golden[i], 1e-5);
         }
       }
-      // Batch-major execution (dense plans take the SoA path; text plans
-      // must fall back bit-for-bit).
+      // Batched execution: every record runs ExecutePlan's kernels, so
+      // the batch hits the same goldens.
       std::vector<float> scores(inputs.size(), 0.0f);
       Status first_error;
       const size_t failed = ExecutePlanBatch(
@@ -111,7 +115,7 @@ void CheckFamily(const Workload& workload, uint64_t seed, bool is_dense,
 
     // BinaryRecord twins of the same inputs: the zero-parse wire format
     // must hit the same goldens through every plan variant, per-record and
-    // batch-major, on both kernel backends.
+    // batched, on both kernel backends.
     std::vector<std::string> binaries;
     for (const auto& input : inputs) {
       binaries.push_back(make_binary(spec_idx, input));
@@ -140,8 +144,8 @@ void CheckFamily(const Workload& workload, uint64_t seed, bool is_dense,
     SetForceScalarKernels(false);
 
     if (is_dense) {
-      // A batch containing an invalid record must fall back to per-record
-      // attribution: valid records still score, invalid ones fail.
+      // A batch containing an invalid record attributes the failure to that
+      // record alone: valid records still score, invalid ones fail.
       SetForceScalarKernels(false);
       std::vector<std::string> mixed = {inputs[0], "1.0,2.0", inputs[1]};
       std::vector<float> scores(mixed.size(), -1.0f);
@@ -156,8 +160,8 @@ void CheckFamily(const Workload& workload, uint64_t seed, bool is_dense,
       CHECK_NEAR(scores[2], golden[1], 1e-5);
 
       // Same attribution for a binary record whose validity bit is clear:
-      // it is masked out of the SoA gather, neighbors score untouched, and
-      // the per-record failure flags name exactly the masked lane.
+      // it fails alone, neighbors score untouched, and the per-record
+      // failure flags name exactly that record.
       std::vector<float> values;
       CHECK(ParseDenseInput(inputs[1], &values) == values.size() &&
             !values.empty());
@@ -274,6 +278,76 @@ void CheckShortWeights() {
   std::printf("short-weights parity: PASS\n");
 }
 
+// Batch scores must equal ExecutePlan's bit for bit. The pinned pair is the
+// served-path benchmark's ac-batch seed-3 pool (AcWorkload defaults, rng
+// seeded 3 ^ 0xACB47C4, 574 binary samples): model ac_158 on record 573 sits
+// on a tree-split tie, so a batch kernel that sums in another order than
+// the per-record kernels scores it 1.72721088 instead of 2.27202797. The
+// pair is checked in batches of 2, 8 and 64 on both backends, then every
+// AC model is checked on one 64-record chunk ending at that record.
+bool SameBits(float a, float b) { return std::memcmp(&a, &b, sizeof a) == 0; }
+
+void CheckBatchBitwiseParity() {
+  const AcWorkload ac = AcWorkload::Generate(AcWorkloadOptions());
+  Rng rng(3 ^ 0xACB47C4ull);
+  std::vector<std::string> pool;
+  for (size_t i = 0; i < 574; ++i) {
+    pool.push_back(ac.SampleInput(rng, WireFormat::kBinary));
+  }
+  ObjectStore store;
+  FlourContext flour(&store);
+  VectorPool vpool;
+  ExecContext ctx(&vpool);
+  std::vector<std::shared_ptr<ModelPlan>> plans;
+  for (const auto& spec : ac.pipelines()) {
+    auto program = flour.FromPipeline(spec);
+    auto plan = CompilePlan(*program, spec.name, CompileOptions{});
+    CHECK_MSG(plan.ok(), "compile %s", spec.name.c_str());
+    plans.push_back(*plan);
+  }
+  CHECK(ac.pipelines()[158].name == "ac_158");
+
+  // Scores `n` records ending at pool record 573 through one batch and
+  // through ExecutePlan; returns the number of bitwise mismatches.
+  const auto mismatches = [&](size_t model, size_t n) {
+    const size_t first = pool.size() - n;
+    std::vector<float> scores(n, 0.0f);
+    Status error;
+    const size_t failed = ExecutePlanBatch(*plans[model], pool.data() + first,
+                                           n, scores.data(), ctx, &error);
+    CHECK_MSG(failed == 0, "batch failed: %s", error.ToString().c_str());
+    size_t bad = 0;
+    for (size_t i = 0; i < n; ++i) {
+      auto one = ExecutePlan(*plans[model], pool[first + i], ctx);
+      CHECK(one.ok());
+      if (!SameBits(scores[i], *one)) {
+        std::fprintf(stderr,
+                     "  %s record %zu: batch(%zu) %.8f vs ExecutePlan %.8f\n",
+                     ac.pipelines()[model].name.c_str(), first + i, n,
+                     scores[i], *one);
+        ++bad;
+      }
+    }
+    return bad;
+  };
+  for (const bool force_scalar : {true, false}) {
+    SetForceScalarKernels(force_scalar);
+    for (const size_t n : {size_t{2}, size_t{8}, size_t{64}}) {
+      CHECK_MSG(mismatches(158, n) == 0,
+                "ac_158 x record 573, batch %zu, %s backend", n,
+                force_scalar ? "scalar" : "dispatched");
+    }
+    size_t bad = 0;
+    for (size_t m = 0; m < plans.size(); ++m) {
+      bad += mismatches(m, 64);
+    }
+    CHECK_MSG(bad == 0, "%zu bitwise mismatches over %zu models x 64 records",
+              bad, plans.size());
+  }
+  SetForceScalarKernels(false);
+  std::printf("batch bitwise parity: PASS\n");
+}
+
 }  // namespace
 
 int main() {
@@ -300,6 +374,7 @@ int main() {
               });
   CheckShortWeights();
   CheckSparseDotUnit();
+  CheckBatchBitwiseParity();
 
   std::printf("datapath_parity_test: PASS (backend %s)\n",
               KernelBackendName(ActiveKernelBackend()));

@@ -206,7 +206,7 @@ void TestSplitBatch() {
 // Binary-vs-text score parity on every plan variant: the binary encoding of
 // a sampled input must score within 1e-6 of the text encoding through
 // ExecutePlan, through a mixed-format ExecutePlanBatch, and the batch path
-// must mask (not fail around) records whose validity bit is clear.
+// must fail only the records whose validity bit is clear.
 template <typename Workload, typename BinaryFromTextFn>
 void CheckWirePairParity(const Workload& workload, uint64_t seed,
                          bool is_dense, BinaryFromTextFn binary_from_text) {
@@ -254,15 +254,15 @@ void CheckWirePairParity(const Workload& workload, uint64_t seed,
                            ctx, &first_error);
       CHECK_MSG(failed == 0, "mixed batch: %s", first_error.ToString().c_str());
       for (size_t i = 0; i < scores.size(); ++i) {
-        // 1e-5 across the batch-major/per-record kernel boundary (the
-        // existing parity suite's bound); the wire formats themselves are
-        // compared at 1e-6 above.
+        // 1e-5 between text-scored references and the mixed batch (the
+        // parity suite's bound); the wire formats themselves are compared
+        // at 1e-6 above.
         CHECK_NEAR(scores[i], text_scores[i], 1e-5);
       }
 
       if (is_dense) {
-        // A cleared validity bit masks the record out of the SoA batch with
-        // individual attribution; its neighbors still run batch-major.
+        // A cleared validity bit fails that record alone, with individual
+        // attribution; its neighbors still score.
         BinaryRecordView view;
         CHECK(ParseBinaryRecord(binaries[0], &view).ok());
         std::vector<float> vals(view.dim);
